@@ -179,9 +179,10 @@ impl BarterCast {
         recs
     }
 
-    /// Count one record-exchange encounter. The scenario engine calls
-    /// this when it drives the two delivery halves itself (guarded path)
-    /// instead of going through [`BarterCast::exchange`].
+    /// Count one record-exchange encounter. For engines that drive the
+    /// two halves themselves — [`BarterCast::own_records`] then
+    /// [`BarterCast::deliver_records`], each direction through their own
+    /// admission gate — instead of calling [`BarterCast::exchange`].
     pub fn mark_exchange(&self) {
         self.exchanges.incr();
     }

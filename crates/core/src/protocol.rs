@@ -221,10 +221,11 @@ impl VoteSampling {
     }
 
     /// Count a VoxPopuli request that went unanswered (responder
-    /// bootstrapping). Engines that intercept the response on the wire —
-    /// validating it before delivery instead of calling
-    /// [`Self::vox_request`] — use this to keep decline telemetry
-    /// coherent with the uninstrumented path.
+    /// bootstrapping). For engines that drive the round trip themselves —
+    /// [`Self::topk_response`], then [`Self::deliver_external_topk`] for
+    /// an answer (after their own admission gate) or this for a decline —
+    /// so the request/response/decline counters match what
+    /// [`Self::vox_request`] records.
     pub fn note_vox_decline(&mut self) {
         self.vox_counters.requests += 1;
         self.vox_counters.declines_bootstrapping += 1;

@@ -225,9 +225,13 @@ impl Governor {
         Ok(())
     }
 
-    /// Count one accepted message.
+    /// Count one accepted message. No-op while disabled, like
+    /// [`Governor::admit`] and [`Governor::note_rejection`]: a disabled
+    /// plane is inert, so it counts nothing.
     pub fn note_accepted(&mut self) {
-        self.counters.accepted += 1;
+        if self.cfg.enabled {
+            self.counters.accepted += 1;
+        }
     }
 
     /// Attribute one rejection of a message from `sender` to `reason`:
@@ -324,6 +328,37 @@ mod tests {
         assert!(g.on_round(SimTime::ZERO).is_empty());
         g.note_rejection(NodeId(0), RejectReason::BadSignature, SimTime::ZERO);
         assert_eq!(g.counters().total(), 0);
+    }
+
+    #[test]
+    fn disabled_governor_counts_nothing() {
+        let mut g = Governor::new(2, GuardConfig::default());
+        let now = SimTime::ZERO;
+        let reasons = [
+            RejectReason::ListTooLong,
+            RejectReason::DuplicateEntry,
+            RejectReason::FutureTimestamp,
+            RejectReason::StaleTimestamp,
+            RejectReason::BadSignature,
+            RejectReason::InvalidNode,
+            RejectReason::SelfReference,
+            RejectReason::HearsayRecord,
+            RejectReason::Oversized,
+            RejectReason::Malformed,
+            RejectReason::RateLimited,
+            RejectReason::Quarantined,
+            RejectReason::InboxOverflow,
+        ];
+        for class in MessageClass::ALL {
+            assert_eq!(g.admit(NodeId(1), class, now), Ok(()));
+            g.note_accepted();
+        }
+        for reason in reasons {
+            g.note_rejection(NodeId(1), reason, now);
+        }
+        assert_eq!(g.counters().accepted, 0);
+        assert_eq!(*g.counters(), GuardCounters::default());
+        assert_eq!(*g.peer(NodeId(1)), PeerGuard::fresh(g.config()));
     }
 
     #[test]
