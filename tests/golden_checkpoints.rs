@@ -6,12 +6,17 @@
 //! the new layout in DESIGN.md §12, and regenerate the corpus with
 //! `cargo run --bin rvs -- ckpt regen` — the tests below spell out which
 //! of those steps was skipped.
+//!
+//! Older format versions are refused, not migrated: the retired goldens
+//! under `tests/golden/retired/` (one per earlier version) must each fail
+//! with a typed `WrongVersion`. A version bump moves the outgoing golden
+//! there.
 
 use robust_vote_sampling::scenario::checkpoint::{
     golden_checkpoint, golden_file_name, GOLDEN_HOURS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::{Checkpoint, System};
-use rvs_checkpoint::FORMAT_VERSION;
+use rvs_checkpoint::{DecodeError, FORMAT_VERSION};
 use rvs_sim::{SimDuration, SimTime};
 use std::path::PathBuf;
 
@@ -67,6 +72,24 @@ fn current_build_reproduces_golden_bytes_exactly() {
              if the format change is intentional, bump FORMAT_VERSION, update DESIGN.md §12, \
              and regenerate with `cargo run --bin rvs -- ckpt regen`"
         );
+    }
+}
+
+#[test]
+fn retired_format_versions_fail_with_wrong_version() {
+    for found in 1..FORMAT_VERSION {
+        let name = format!("fig6-seed1.v{found}.ckpt");
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/retired")
+            .join(&name);
+        let ckpt = Checkpoint::load(&path)
+            .unwrap_or_else(|e| panic!("retired golden {name} missing or unreadable: {e}"));
+        let expected = DecodeError::WrongVersion {
+            found,
+            supported: FORMAT_VERSION,
+        };
+        assert_eq!(ckpt.info().err(), Some(expected.clone()), "{name}");
+        assert_eq!(System::restore(&ckpt).err(), Some(expected), "{name}");
     }
 }
 
