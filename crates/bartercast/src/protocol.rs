@@ -104,6 +104,12 @@ impl rvs_checkpoint::Persist for Record {
 pub struct BarterCast {
     cfg: BarterCastConfig,
     graphs: Vec<SubjectiveGraph>,
+    /// Owner-incident index: `in_peers[i]` lists, ascending, every `x` for
+    /// which graph `i` holds a nonzero edge `(x → i)`. With the range scan
+    /// for `i`'s outgoing edges it makes [`BarterCast::own_records`]
+    /// O(degree). Derived from `graphs`: rebuilt on restore, never
+    /// persisted.
+    in_peers: Vec<Vec<NodeId>>,
     // Memoized contributions, reconciled lazily against graph epochs.
     // `RefCell` because `contribution_kib` takes `&self` (it sits under
     // read-only accessors all the way up the stack) yet a hit still has to
@@ -124,6 +130,7 @@ impl BarterCast {
         BarterCast {
             cfg,
             graphs: vec![SubjectiveGraph::new(); n],
+            in_peers: vec![Vec::new(); n],
             cache: RefCell::new(ContributionCache::new(n)),
             exchanges: SharedCounter::default(),
             maxflow_evaluations: SharedCounter::default(),
@@ -156,25 +163,57 @@ impl BarterCast {
     /// simulation's ground-truth ledger (its BitTorrent client's local
     /// statistics — always truthful for honest nodes).
     pub fn sync_own_records(&mut self, i: NodeId, ledger: &TransferLedger) {
-        let g = &mut self.graphs[i.index()];
         for (to, kib) in ledger.uploads_from(i) {
-            g.insert_report(i, i, to, kib);
+            self.install(i, i, i, to, kib);
         }
         for (from, kib) in ledger.uploads_to(i) {
-            g.insert_report(i, from, i, kib);
+            self.install(i, i, from, i, kib);
         }
     }
 
+    /// Install one report into `receiver`'s graph, keeping the
+    /// owner-incident index in step. Returns whether the graph accepted it.
+    fn install(
+        &mut self,
+        receiver: NodeId,
+        reporter: NodeId,
+        from: NodeId,
+        to: NodeId,
+        kib: u64,
+    ) -> bool {
+        let accepted = self.graphs[receiver.index()].insert_report(reporter, from, to, kib);
+        // An accepted nonzero report leaves a nonzero edge behind (weights
+        // are maxima); a zero one cannot create a nonzero edge.
+        if accepted && to == receiver && kib > 0 {
+            let peers = &mut self.in_peers[receiver.index()];
+            if let Err(at) = peers.binary_search(&from) {
+                peers.insert(at, from);
+            }
+        }
+        accepted
+    }
+
     /// Node `i`'s own direct records (edges incident to `i`), largest
-    /// first, truncated to the per-exchange budget.
+    /// first, truncated to the per-exchange budget. O(degree of `i`): the
+    /// outgoing edges are a range scan, the incoming ones come from the
+    /// owner-incident index.
     pub fn own_records(&self, i: NodeId) -> Vec<Record> {
         let g = &self.graphs[i.index()];
-        let mut recs: Vec<Record> = g
-            .edges()
-            .filter(|&(f, t, _)| f == i || t == i)
-            .map(|(from, to, kib)| Record { from, to, kib })
-            .collect();
-        recs.sort_by_key(|r| (std::cmp::Reverse(r.kib), r.from, r.to));
+        let outgoing = g
+            .out_edges(i)
+            .into_iter()
+            .map(|(to, kib)| Record { from: i, to, kib });
+        let incoming = self.in_peers[i.index()]
+            .iter()
+            .map(|&from| Record {
+                from,
+                to: i,
+                kib: g.edge_kib(from, i),
+            })
+            .filter(|r| r.kib > 0);
+        let mut recs: Vec<Record> = outgoing.chain(incoming).collect();
+        // Keys are unique per (from, to), so the unstable sort is total.
+        recs.sort_unstable_by_key(|r| (std::cmp::Reverse(r.kib), r.from, r.to));
         recs.truncate(self.cfg.max_records_per_exchange);
         recs
     }
@@ -192,7 +231,7 @@ impl BarterCast {
     /// by the graph: only edges incident to `reporter` are accepted.
     pub fn deliver_records(&mut self, receiver: NodeId, reporter: NodeId, recs: &[Record]) {
         for r in recs {
-            self.graphs[receiver.index()].insert_report(reporter, r.from, r.to, r.kib);
+            self.install(receiver, reporter, r.from, r.to, r.kib);
         }
     }
 
@@ -214,7 +253,7 @@ impl BarterCast {
     /// endpoint-validity rule, so fabrication is limited to edges incident
     /// to the reporter.
     pub fn inject_report(&mut self, receiver: NodeId, reporter: NodeId, record: Record) -> bool {
-        self.graphs[receiver.index()].insert_report(reporter, record.from, record.to, record.kib)
+        self.install(receiver, reporter, record.from, record.to, record.kib)
     }
 
     /// Contribution of `j` towards `i` in KiB: hop-bounded maxflow `j → i`
@@ -341,6 +380,7 @@ impl BarterCast {
 /// Stable binary encoding: config, per-node subjective graphs, the
 /// contribution cache (persisted verbatim so cache hit/miss behaviour
 /// resumes exactly), then the four counters in declaration order.
+// rvs-lint: allow(persist-coverage) -- `in_peers` is a pure projection of `graphs`, rebuilt by restore below; persisting it would store the same edges twice
 impl rvs_checkpoint::Persist for BarterCast {
     fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
         self.cfg.persist(enc);
@@ -353,9 +393,24 @@ impl rvs_checkpoint::Persist for BarterCast {
     }
 
     fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
+        let cfg = BarterCastConfig::restore(dec)?;
+        let graphs: Vec<SubjectiveGraph> = Vec::restore(dec)?;
+        let in_peers = graphs
+            .iter()
+            .enumerate()
+            .map(|(k, g)| {
+                let owner = NodeId::from_index(k);
+                // `edges()` runs in (from, to) order, so this is ascending.
+                g.edges()
+                    .filter(|&(_, to, _)| to == owner)
+                    .map(|(from, _, _)| from)
+                    .collect()
+            })
+            .collect();
         Ok(BarterCast {
-            cfg: BarterCastConfig::restore(dec)?,
-            graphs: Vec::restore(dec)?,
+            cfg,
+            graphs,
+            in_peers,
             cache: RefCell::new(ContributionCache::restore(dec)?),
             exchanges: SharedCounter::restore(dec)?,
             maxflow_evaluations: SharedCounter::restore(dec)?,

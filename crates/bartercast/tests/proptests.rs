@@ -2,12 +2,26 @@
 
 use proptest::prelude::*;
 use rvs_bartercast::maxflow::max_flow_bounded;
-use rvs_bartercast::{BarterCast, BarterCastConfig, SubjectiveGraph};
+use rvs_bartercast::{BarterCast, BarterCastConfig, Record, SubjectiveGraph};
 use rvs_bittorrent::TransferLedger;
 use rvs_sim::NodeId;
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..8, 0u32..8, 1u64..10_000), 0..40)
+}
+
+/// Reference `own_records`: every nonzero edge of `i`'s graph incident
+/// to `i`, found by a whole-graph scan, largest first, truncated.
+fn own_records_by_scan(bc: &BarterCast, i: NodeId) -> Vec<Record> {
+    let mut recs: Vec<Record> = bc
+        .graph(i)
+        .edges()
+        .filter(|&(f, t, _)| f == i || t == i)
+        .map(|(from, to, kib)| Record { from, to, kib })
+        .collect();
+    recs.sort_by_key(|r| (std::cmp::Reverse(r.kib), r.from, r.to));
+    recs.truncate(bc.config().max_records_per_exchange);
+    recs
 }
 
 fn graph_of(edges: &[(u32, u32, u64)]) -> SubjectiveGraph {
@@ -172,6 +186,60 @@ proptest! {
                 prop_assert_eq!(cached.contribution_kib_uncached(i, j), reference);
             }
             prop_assert_eq!(cached.graph(i), plain.graph(i), "graph {} diverged", i);
+        }
+    }
+
+    /// The indexed `own_records` equals the whole-graph scan for every
+    /// node at every point of an arbitrary interleaving of syncs, record
+    /// deliveries (hearsay, self-loop and zero-KiB records included) and
+    /// injected reports — and again after a checkpoint round trip, which
+    /// rebuilds the index from the restored graphs.
+    #[test]
+    fn indexed_own_records_match_the_scan(
+        ops in prop::collection::vec(
+            (0u8..4, 0u32..6, 0u32..6, 0u32..6, 0u32..6, prop_oneof![Just(0u64), 1u64..5_000]),
+            1..80,
+        ),
+        budget in 1usize..8,
+    ) {
+        let n = 6;
+        let cfg = BarterCastConfig {
+            max_records_per_exchange: budget,
+            ..BarterCastConfig::default()
+        };
+        let mut bc = BarterCast::new(n, cfg);
+        let mut ledger = TransferLedger::new();
+        for &(op, a, b, c, d, kib) in &ops {
+            let (w, x, y, z) = (NodeId(a), NodeId(b), NodeId(c), NodeId(d));
+            match op {
+                0 => ledger.credit(w, x, kib),
+                1 => bc.sync_own_records(w, &ledger),
+                2 => {
+                    // Reporter `x` hands `w` one record about `y -> z`:
+                    // its own edge, hearsay or a self-loop alike.
+                    let recs = [Record { from: y, to: z, kib }, Record { from: x, to: w, kib }];
+                    bc.deliver_records(w, x, &recs);
+                }
+                _ => {
+                    bc.inject_report(w, x, Record { from: y, to: z, kib });
+                }
+            }
+            for i in (0..n).map(NodeId::from_index) {
+                prop_assert_eq!(bc.own_records(i), own_records_by_scan(&bc, i));
+            }
+        }
+        let bytes = rvs_checkpoint::to_bytes(&bc);
+        let restored: BarterCast = rvs_checkpoint::from_bytes(&bytes).expect("round trip");
+        for i in (0..n).map(NodeId::from_index) {
+            prop_assert_eq!(restored.own_records(i), own_records_by_scan(&bc, i));
+        }
+        // The rebuilt index keeps tracking new reports.
+        let mut resumed = restored;
+        for i in (0..n).map(NodeId::from_index) {
+            bc.sync_own_records(i, &ledger);
+            resumed.sync_own_records(i, &ledger);
+            prop_assert_eq!(resumed.graph(i), bc.graph(i));
+            prop_assert_eq!(resumed.own_records(i), own_records_by_scan(&resumed, i));
         }
     }
 

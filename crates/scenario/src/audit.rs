@@ -4,9 +4,20 @@
 //! [`crate::System::enable_audit`]) and re-checks, after every encounter
 //! and every gossip round, the invariants the protocol stack promises:
 //!
-//! * **Conservation** — every gossip initiation is accounted for exactly
-//!   once: `attempted == delivered + dropped_no_sample +
-//!   dropped_offline_target + dropped_self_target + dropped_message_loss`.
+//! * **Conservation** — after every gossip round, each gossip initiation
+//!   is accounted for exactly once: `attempted == delivered +
+//!   dropped_no_sample + dropped_offline_target + dropped_self_target +
+//!   dropped_message_loss` (the encounter counters) `+ dropped_burst +
+//!   partitioned + dropped_expired` (fault plane) `+ inbox_dropped`
+//!   (guard) `+ in_flight + bus_in_flight` (primary deliveries still
+//!   scheduled, envelopes still queued on the shard bus) `+
+//!   envelopes_rejected` (shard-bus admission). Duplicate copies never
+//!   touch `attempted` or `delivered`, so they stay outside the identity.
+//! * **Own-record freshness** — after an encounter's BarterCast sync,
+//!   each side's subjective graph holds at least the ledger's value for
+//!   every ledger edge incident to that side (`>=`, since an injected
+//!   report may exceed the ledger). A sync wrongly skipped as unchanged
+//!   breaks it.
 //! * **Ballot bound** — no ballot box ever samples more than `B_max`
 //!   unique voters.
 //! * **Experience gating** — a sender that fails the receiver's experience

@@ -24,8 +24,8 @@ impl System {
     pub(super) fn encounter(&mut self, i: NodeId, j: NodeId) {
         // BarterCast: refresh own records, then swap them (the responder's
         // records are extracted only once the initiator's half is in).
-        self.bc.sync_own_records(i, self.net.ledger());
-        self.bc.sync_own_records(j, self.net.ledger());
+        self.sync_own_records(i);
+        self.sync_own_records(j);
         self.bc.mark_exchange();
         if self.deliver_barter_half(i, j) {
             self.deliver_barter_half(j, i);
@@ -62,6 +62,21 @@ impl System {
                 (j, i, e_j_accepts_i, pre_i_in_j, votes_i_to_j),
             ];
             self.audit_encounter(sides, vox_breach);
+        }
+    }
+
+    /// Refresh `p`'s own BarterCast records from the ledger, skipped
+    /// while `p`'s ledger change stamp has not moved since its last sync.
+    /// The skip is exact: in `p`'s graph the `p`-reported sides of `p`'s
+    /// incident edges are max-registers written only by this sync, with
+    /// ledger values, so re-installing unchanged values changes no weight,
+    /// epoch or change-log entry.
+    fn sync_own_records(&mut self, p: NodeId) {
+        let ledger = self.net.ledger();
+        let stamp = Some(ledger.change_stamp(p));
+        if self.bc_synced[p.index()] != stamp {
+            self.bc.sync_own_records(p, ledger);
+            self.bc_synced[p.index()] = stamp;
         }
     }
 
@@ -238,18 +253,40 @@ impl System {
         answered && j_bootstrapping
     }
 
-    /// Post-encounter invariant checks (audit mode only): ballot bound,
-    /// experience gating, and VoxPopuli bootstrap honesty. Each side is
-    /// `(receiver, sender, E_receiver(sender), votes from sender before,
-    /// vote list admitted)`; gating only constrains admitted lists.
+    /// Post-encounter invariant checks (audit mode only): own-record
+    /// freshness, ballot bound, experience gating, and VoxPopuli bootstrap
+    /// honesty. Each side is `(receiver, sender, E_receiver(sender), votes
+    /// from sender before, vote list admitted)`; gating only constrains
+    /// admitted lists.
     fn audit_encounter(
         &mut self,
         sides: [(NodeId, NodeId, bool, usize, bool); 2],
         vox_breach: bool,
     ) {
         let (b_max, revalidate, now) = (self.cfg.votes.b_max, self.cfg.votes.revalidate, self.now);
+        let ledger = self.net.ledger();
         let aud = self.audit.as_mut().expect("caller checked audit is on");
         for (r, s, accepts, pre, admitted) in sides {
+            // Freshness: after the sync, `r`'s graph knows at least the
+            // ledger's value for every edge incident to `r` (an injected
+            // report may legitimately exceed it).
+            let graph = self.bc.graph(r);
+            let stale = ledger
+                .uploads_from(r)
+                .into_iter()
+                .map(|(to, kib)| (r, to, kib))
+                .chain(
+                    ledger
+                        .uploads_to(r)
+                        .into_iter()
+                        .map(|(from, kib)| (from, r, kib)),
+                )
+                .map(|(f, t, kib)| (f, t, graph.edge_kib(f, t), kib))
+                .find(|&(_, _, have, kib)| have < kib);
+            aud.check(stale.is_none(), || {
+                let (f, t, have, kib) = stale.expect("rendered only for a stale edge");
+                format!("{r}'s graph holds {f}->{t} = {have} KiB < ledger {kib} KiB at {now}")
+            });
             let ballot = self.vs.ballot(r);
             let (uv, post) = (ballot.unique_voters(), votes_from(ballot, s));
             aud.check(uv <= b_max, || {

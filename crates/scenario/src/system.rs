@@ -258,6 +258,10 @@ pub struct System {
     net: BitTorrentNet,
     pss: Pss,
     bc: BarterCast,
+    /// Per-node ledger change stamp as of the node's last own-record sync
+    /// (`None`: never synced since construction or restore). Derived
+    /// state, deliberately outside the checkpoint.
+    bc_synced: Vec<Option<u64>>,
     mc: ModerationCast,
     registry: KeyRegistry,
     vs: VoteSampling,
@@ -449,6 +453,7 @@ impl System {
             net,
             pss,
             bc,
+            bc_synced: vec![None; n_total],
             mc,
             registry,
             vs,
@@ -751,6 +756,7 @@ impl System {
             net,
             pss,
             bc,
+            bc_synced: vec![None; n_total],
             mc,
             registry,
             vs,
