@@ -6,6 +6,8 @@
 //! exactly what this workspace uses: non-generic named structs, tuple structs
 //! (including `#[serde(transparent)]` newtypes with private fields), unit
 //! structs, and enums whose variants are unit, tuple, or named-field.
+//! A named struct field marked `#[serde(skip)]` is left out of the
+//! serialized form and deserializes as `Default::default()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -33,8 +35,13 @@ struct Item {
 enum Kind {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Enum(Vec<Variant>),
+}
+
+struct Field {
+    name: String,
+    skip: bool,
 }
 
 struct Variant {
@@ -175,7 +182,13 @@ fn parse_variant(chunk: &[TokenTree]) -> Result<Option<Variant>, String> {
             ))
         }
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            VFields::Named(parse_named_fields(g.stream())?)
+            let fields = parse_named_fields(g.stream())?;
+            if fields.iter().any(|f| f.skip) {
+                return Err(format!(
+                    "derive: #[serde(skip)] on a field of variant {name} is not supported"
+                ));
+            }
+            VFields::Named(fields.into_iter().map(|f| f.name).collect())
         }
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
             let n = split_top_level(g.stream())
@@ -189,13 +202,17 @@ fn parse_variant(chunk: &[TokenTree]) -> Result<Option<Variant>, String> {
     Ok(Some(Variant { name, fields }))
 }
 
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
+    let mut fields = Vec::new();
     for chunk in split_top_level(body) {
         let mut i = 0;
+        let mut skip = false;
         loop {
             match chunk.get(i) {
-                Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2, // attribute
+                Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                    skip |= chunk.get(i + 1).is_some_and(is_serde_skip);
+                    i += 2; // '#' + bracket group
+                }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     i += 1;
                     if let Some(TokenTree::Group(g)) = chunk.get(i) {
@@ -208,12 +225,28 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
             }
         }
         match chunk.get(i) {
-            Some(TokenTree::Ident(id)) => names.push(id.to_string()),
+            Some(TokenTree::Ident(id)) => fields.push(Field {
+                name: id.to_string(),
+                skip,
+            }),
             None => {} // trailing comma
             other => return Err(format!("derive: expected field name, got {other:?}")),
         }
     }
-    Ok(names)
+    Ok(fields)
+}
+
+/// Whether an attribute's bracket group is exactly `[serde(skip)]`.
+fn is_serde_skip(attr: &TokenTree) -> bool {
+    let TokenTree::Group(g) = attr else {
+        return false;
+    };
+    let toks: Vec<TokenTree> = g.stream().into_iter().collect();
+    matches!(
+        toks.as_slice(),
+        [TokenTree::Ident(id), TokenTree::Group(args)]
+            if id.to_string() == "serde" && args.stream().to_string() == "skip"
+    )
 }
 
 /// Split a token stream on top-level commas (commas inside `<...>` generic
@@ -254,7 +287,8 @@ fn gen_serialize(item: &Item) -> String {
         Kind::Named(fields) => {
             let pushes: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .filter(|f| !f.skip)
+                .map(|Field { name: f, .. }| {
                     format!(
                         "(::std::string::String::from({f:?}), ::serde::Serialize::to_value(&self.{f}))"
                     )
@@ -334,10 +368,14 @@ fn gen_deserialize(item: &Item) -> String {
         Kind::Named(fields) => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(::serde::object_get(__obj, {f:?}).ok_or_else(|| ::serde::DeError::new(\"missing field {name}.{f}\"))?)?"
-                    )
+                .map(|Field { name: f, skip }| {
+                    if *skip {
+                        format!("{f}: ::std::default::Default::default()")
+                    } else {
+                        format!(
+                            "{f}: ::serde::Deserialize::from_value(::serde::object_get(__obj, {f:?}).ok_or_else(|| ::serde::DeError::new(\"missing field {name}.{f}\"))?)?"
+                        )
+                    }
                 })
                 .collect();
             format!(
